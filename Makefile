@@ -7,8 +7,10 @@
 #                     detector, and the bench-gate throughput regression gate
 #   make bench-gate   measure both annotation paths and fail on a >10%
 #                     throughput regression against the committed snapshot
-#   make fuzz-smoke   run each fuzz target briefly (regression smoke, ~30s)
+#   make fuzz-smoke   run each fuzz target briefly (regression smoke, ~70s)
 #   make bench        annotate-path micro-benchmarks (single file + batch)
+#   make bench-dialect dialect detection over the six-profile datagen corpus
+#                     (MB/s and allocs/op of the one-pass scorer)
 #   make bench-lint   full-repo analyzer-suite benchmark; fails if linting
 #                     the repo exceeds the 2.5 s/op budget
 #   make bench-obs    batch annotation with nil vs active observability hooks
@@ -31,7 +33,7 @@ BENCH_BASELINE ?= BENCH_10.json
 # must keep the whole analyzer suite inside it.
 LINT_BUDGET_NS ?= 2500000000
 
-.PHONY: build test vet lint lint-reslife lint-models race race-stream race-serve serve-smoke tier1 check fuzz-smoke bench bench-gate bench-lint bench-obs bench-predict bench-stream
+.PHONY: build test vet lint lint-reslife lint-models race race-stream race-serve serve-smoke tier1 check fuzz-smoke bench bench-dialect bench-gate bench-lint bench-obs bench-predict bench-stream
 
 build:
 	$(GO) build ./...
@@ -75,13 +77,20 @@ bench-gate:
 # smoke runs are sequential. -run '^$' skips the unit tests.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplit$$' -fuzztime $(FUZZTIME) ./internal/dialect
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectBest$$' -fuzztime $(FUZZTIME) ./internal/dialect
 	$(GO) test -run '^$$' -fuzz '^FuzzInfer$$' -fuzztime $(FUZZTIME) ./internal/types
+	$(GO) test -run '^$$' -fuzz '^FuzzInferOracle$$' -fuzztime $(FUZZTIME) ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNumber$$' -fuzztime $(FUZZTIME) ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzTableParse$$' -fuzztime $(FUZZTIME) .
 
 bench:
 	$(GO) test -bench 'BenchmarkAnnotate' -benchmem -run '^$$' .
+
+# Dialect detection as the batch loader runs it, per file of a rendered,
+# normalized six-profile corpus: the layer traced as dialect.detect_ms_per_mb.
+bench-dialect:
+	$(GO) test -bench 'BenchmarkDetectCorpus' -benchmem -count 5 -run '^$$' .
 
 # The ns/op field is column 3 of `go test -bench` output; the awk guard
 # fails the target when the full-repo suite blows the wall-clock budget

@@ -10,12 +10,15 @@ package strudel
 import (
 	"bytes"
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
 	"strudel/internal/datagen"
+	"strudel/internal/dialect"
 	"strudel/internal/experiments"
 	"strudel/internal/features"
+	"strudel/internal/ingest"
 	"strudel/internal/ml/forest"
 	"strudel/internal/table"
 )
@@ -143,6 +146,44 @@ func BenchmarkDialectDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DetectDialect(text); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDetectCorpus runs dialect detection the way the batch loader
+// does, on every file of the six datagen profiles at scale 0.5, rendered
+// as CSV and normalized through ingest. Throughput is normalized-text
+// bytes per second.
+func BenchmarkDetectCorpus(b *testing.B) {
+	names := make([]string, 0, 6)
+	for name := range datagen.Profiles() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var texts []string
+	size := 0
+	for _, name := range names {
+		for _, t := range datagen.Generate(datagen.Profiles()[name].Scale(0.5)).Files {
+			rows := make([][]string, t.Height())
+			for r := range rows {
+				rows[r] = t.Row(r)
+			}
+			res, err := ingest.Normalize([]byte(dialect.Join(rows, dialect.Default)), ingest.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			texts = append(texts, res.Text)
+			size += len(res.Text)
+		}
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			if _, err := dialect.DetectBest(text); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -290,3 +290,29 @@ func TestExpandSkipsTestdata(t *testing.T) {
 		t.Errorf("Expand(./...) from internal/analysis missed the package itself: %v", paths)
 	}
 }
+
+func TestExpandSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, body := range map[string]string{
+		"go.mod":           "module m\n",
+		"a/a.go":           "package a\n",
+		"nested/go.mod":    "module n\n",
+		"nested/n.go":      "package n\n",
+		"nested/deep/d.go": "package deep\n",
+	} {
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths, err := NewLoader(root, "m").Expand([]string{root + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 1 || paths[0] != "m/a" {
+		t.Errorf("Expand(./...) = %v, want only m/a (the nested module is not part of m)", paths)
+	}
+}

@@ -16,6 +16,7 @@ import (
 //	(*Compiled).PredictProbaMatrix  /  (flattened matrix kernel)
 //	(*Scanner).Scan            the per-line streaming ingest step
 //	(*Splitter).Write/Next     the per-line incremental tokenizer
+//	DetectBest                 dialect scoring, once per candidate
 //
 // (matched by receiver/function name and package name, so the fixture
 // module exercises the same rule). Inside hot functions four allocation
@@ -61,6 +62,7 @@ var hotRoots = []hotRoot{
 	{"ingest", "Scanner", "Scan"},
 	{"dialect", "Splitter", "Write"},
 	{"dialect", "Splitter", "Next"},
+	{"dialect", "", "DetectBest"},
 }
 
 func runHotAlloc(pass *Pass) {

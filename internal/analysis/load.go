@@ -238,8 +238,8 @@ func goFilesIn(dir string) ([]string, error) {
 // Expand resolves command-line package patterns into module import paths.
 // Supported shapes: "./...", "./dir/...", "./dir", ".", a bare module import
 // path, or an absolute directory inside the module. Directories named
-// "testdata", hidden directories, and directories without buildable Go
-// files are skipped.
+// "testdata", hidden directories, nested modules, and directories without
+// buildable Go files are skipped.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -296,6 +296,12 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 			base := filepath.Base(path)
 			if path != dir && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
 				return filepath.SkipDir
+			}
+			if path != l.ModuleRoot {
+				// A nested module is not part of this one, as with go's ./...
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			files, err := goFilesIn(path)
 			if err != nil {

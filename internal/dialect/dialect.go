@@ -15,11 +15,9 @@ import (
 	"errors"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"strudel/internal/obs"
-	"strudel/internal/types"
 )
 
 // Dialect describes how a delimited text file is tokenized.
@@ -71,7 +69,7 @@ func writeRune(b *strings.Builder, r rune) {
 var candidateDelimiters = []rune{',', ';', '\t', '|', ':', ' ', '#', '~', '^'}
 
 // candidateQuotes are the quote characters enumerated during detection.
-var candidateQuotes = []rune{'"', '\'', 0}
+var candidateQuotes = [...]rune{'"', '\'', 0}
 
 // Detection is the outcome of dialect detection: the winning dialect plus
 // the evidence behind it, so callers can apply a confidence floor instead
@@ -115,6 +113,14 @@ func DetectBest(text string) (Detection, error) {
 	if strings.TrimSpace(text) == "" {
 		return Detection{}, errors.New("dialect: empty input")
 	}
+	sc := newScorer(text)
+	// A quote character that never occurs in the text never fires, so its
+	// candidates parse exactly like the unquoted one: score that parse
+	// once per delimiter and reuse it.
+	var absent [len(candidateQuotes)]bool
+	for i, quote := range candidateQuotes {
+		absent[i] = quote == 0 || !strings.ContainsRune(sc.text, quote)
+	}
 	best, bestScore := Default, math.Inf(-1)
 	// Best score per delimiter, for the margin computation.
 	perDelim := make([]float64, 0, len(candidateDelimiters))
@@ -123,9 +129,17 @@ func DetectBest(text string) (Detection, error) {
 			continue // a delimiter that never occurs cannot win
 		}
 		delimBest := math.Inf(-1)
-		for _, quote := range candidateQuotes {
+		unquoted, scored := 0.0, false
+		for i, quote := range candidateQuotes {
 			d := Dialect{Delimiter: delim, Quote: quote}
-			score := ConsistencyScore(text, d)
+			score := unquoted
+			switch {
+			case !absent[i]:
+				score = sc.score(d)
+			case !scored:
+				unquoted, scored = sc.score(Dialect{Delimiter: delim}), true
+				score = unquoted
+			}
 			if score > delimBest {
 				delimBest = score
 			}
@@ -152,99 +166,10 @@ func DetectBest(text string) (Detection, error) {
 
 // ConsistencyScore computes the data-consistency measure Q(d) = P(d) * T(d)
 // for parsing text under dialect d, where P is the pattern score and T is
-// the type score.
+// the type score. It scores the parse Split(text, d) would produce without
+// materializing its rows.
 func ConsistencyScore(text string, d Dialect) float64 {
-	rows := Split(text, d)
-	return patternScore(rows) * typeScore(rows)
-}
-
-// patternScore measures row-pattern regularity. Each row is abstracted to
-// its cell count; the score rewards patterns that are frequent and wide:
-//
-//	P = sum over distinct patterns k of N_k/N * (L_k - 1) / L_k'
-//
-// where N_k is how many rows have pattern k, L_k the number of cells in the
-// pattern, and the (L_k - 1) term penalizes the trivial single-cell pattern,
-// following eq. (2) of van den Burg et al. (simplified to cell counts, since
-// verbose files have no per-cell pattern variation after splitting).
-func patternScore(rows [][]string) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	counts := map[int]int{}
-	widths := make([]int, 0, 8)
-	for _, row := range rows {
-		if counts[len(row)] == 0 {
-			widths = append(widths, len(row))
-		}
-		counts[len(row)]++
-	}
-	// Accumulate in sorted width order: float summation order must not
-	// depend on map iteration, or scores (and tie-breaks between dialect
-	// candidates) drift by an ulp between runs.
-	sort.Ints(widths)
-	n := float64(len(rows))
-	score := 0.0
-	for _, width := range widths {
-		c := counts[width]
-		if width == 0 {
-			continue
-		}
-		lk := float64(width)
-		alpha := (lk - 1) / lk
-		if width == 1 {
-			alpha = 0.5 / lk // small non-zero weight for single-cell rows
-		}
-		score += float64(c) / n * alpha * float64(c) / n
-	}
-	return score
-}
-
-// typeScore is the fraction of non-empty cells whose inferred type is not
-// plain free text, smoothed so that an all-string parse still gets a small
-// positive score (eq. (3) of van den Burg et al. uses type recognition the
-// same way).
-func typeScore(rows [][]string) float64 {
-	total, typed := 0, 0
-	for _, row := range rows {
-		for _, cell := range row {
-			v := strings.TrimSpace(cell)
-			if v == "" {
-				continue
-			}
-			total++
-			switch types.Infer(v) {
-			case types.Int, types.Float, types.Date:
-				typed++
-			default:
-				if looksClean(v) {
-					typed++ // short clean tokens count as well-typed
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 1e-3
-	}
-	return math.Max(float64(typed)/float64(total), 1e-3)
-}
-
-// looksClean reports whether a string cell looks like a well-formed field
-// (short, no stray delimiters or unbalanced quotes) rather than a fragment
-// of an incorrectly split sentence.
-func looksClean(v string) bool {
-	if len(v) > 64 {
-		return false
-	}
-	if strings.Count(v, `"`)%2 != 0 || strings.Count(v, `'`)%2 != 0 {
-		return false
-	}
-	// A field still containing one of the rarer candidate delimiters is
-	// probably an under-split fragment, not a clean value.
-	if strings.ContainsAny(v, ";|\t^~") {
-		return false
-	}
-	return strings.Count(v, " ") <= 4
+	return newScorer(text).score(d)
 }
 
 // Split parses text into rows of cells under dialect d. Lines are separated

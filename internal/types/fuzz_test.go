@@ -1,7 +1,9 @@
 package types
 
 import (
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,6 +80,43 @@ func FuzzParseNumber(f *testing.F) {
 			inner, innerOK := ParseNumber(s[1 : len(s)-1])
 			if innerOK && got != -inner {
 				t.Fatalf("accounting negative %q = %v, want -(%v)", v, got, inner)
+			}
+		}
+	})
+}
+
+// FuzzInferOracle pins the allocation-free inference to the oracle copy of
+// the original code: every string gets the same type, the same date verdict
+// and a bit-identical number. Rejecting a value before strconv sees it must
+// also never hide a value strconv would have parsed.
+func FuzzInferOracle(f *testing.F) {
+	for _, s := range []string{
+		"42", "1,234,567", "-1,234.5e3", "1,23", "+-1,000", "(1,000)", "$ 12,345%",
+		"1,234,567,890,123,456,789,012,345,678.5", "0x1p-2", "0x_1p0", "1_000",
+		"inf", "-Infinity", "+nan", "NaN", "infinit", "1e400", "1e-400", ".5", "5.",
+		"2019-03-26", "26/03/2019", "03/26/19", "1.2.3", "0019-01-01",
+		"q1-2019", "Q1 2019", "2019q4", "2019 Q1", "Q5 2019", "ſ", "ı", "Qſ2019",
+		"Mar-19", "March 2019", "26 March 2019", "APRİL 2019", "SEPT, 2019",
+		"march", "May 0", "May 3001", "May +0002019", "May -1", "May 1 2 3",
+		"\xffMay 2019", "May 2019", " 12% ", "£-3,000†", "(  $1,000.25% )",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		if got, want := Infer(v), oracleInfer(v); got != want {
+			t.Fatalf("Infer(%q) = %v, oracle %v", v, got, want)
+		}
+		if got, want := IsDate(v), oracleIsDate(v); got != want {
+			t.Fatalf("IsDate(%q) = %v, oracle %v", v, got, want)
+		}
+		got, ok := ParseNumber(v)
+		want, wantOK := oracleParseNumber(v)
+		if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ParseNumber(%q) = (%v, %v), oracle (%v, %v)", v, got, ok, want, wantOK)
+		}
+		if !floatSyntax(v) {
+			if _, err := strconv.ParseFloat(v, 64); !errors.Is(err, strconv.ErrSyntax) {
+				t.Fatalf("floatSyntax rejects %q but strconv.ParseFloat returns %v", v, err)
 			}
 		}
 	})

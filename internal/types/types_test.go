@@ -175,3 +175,18 @@ func TestTypeString(t *testing.T) {
 		t.Error("type names wrong")
 	}
 }
+
+// TestInferAllocFree pins the allocation-free contract of the inference
+// the dialect scorer and the feature extractors run per cell. Only a
+// literal out of float64 range still allocates (strconv's range error).
+func TestInferAllocFree(t *testing.T) {
+	for _, v := range []string{
+		"42", "1,234,567.25", "(£1,234)", "12.5%", "Total homicides", "N/A",
+		"2019-03-26", "03/26/19", "26 March 2019", "APRİL 2019", "Q1-2019",
+		"-", "nan", "Region: North East (excluding London)",
+	} {
+		if n := testing.AllocsPerRun(100, func() { Infer(v) }); n != 0 {
+			t.Errorf("Infer(%q) allocates %.0f times per call", v, n)
+		}
+	}
+}
