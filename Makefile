@@ -7,7 +7,7 @@
 #                     detector, and the bench-gate throughput regression gate
 #   make bench-gate   measure both annotation paths and fail on a >10%
 #                     throughput regression against the committed snapshot
-#   make fuzz-smoke   run each fuzz target briefly (regression smoke, ~70s)
+#   make fuzz-smoke   run each fuzz target briefly (regression smoke, ~80s)
 #   make bench        annotate-path micro-benchmarks (single file + batch)
 #   make bench-dialect dialect detection over the six-profile datagen corpus
 #                     (MB/s and allocs/op of the one-pass scorer)
@@ -15,8 +15,9 @@
 #                     the repo exceeds the 2.5 s/op budget
 #   make bench-obs    batch annotation with nil vs active observability hooks
 #   make bench-predict inference-layer micro-benchmarks: forest matrix
-#                     kernels (compiled vs pointer) and model decode
-#                     (JSON vs binary)
+#                     kernels (compiled vs pointer), model decode (JSON vs
+#                     binary), and the compiled kernel on a production-
+#                     shaped model's corpus feature blocks
 #   make bench-stream streaming throughput benchmark + the full >= 256 MiB
 #                     bounded-memory proof (the default test run uses 32 MiB)
 #   make race-stream  race detector over the streaming/window code only (fast)
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNumber$$' -fuzztime $(FUZZTIME) ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzTableParse$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatrix$$' -fuzztime $(FUZZTIME) ./internal/ml/forest
 
 bench:
 	$(GO) test -bench 'BenchmarkAnnotate' -benchmem -run '^$$' .
@@ -104,9 +106,12 @@ bench-obs:
 
 # Inference-layer micro-benchmarks: the matrix kernels of both forest
 # engines (compiled flattened vs pointer) plus model decode in both
-# encodings — the numbers the predict_path/model_load snapshot fields track.
+# encodings — the numbers the predict_path/model_load snapshot fields track —
+# and the compiled kernel on a production-shaped model's per-table line and
+# cell blocks (BenchmarkPredictCorpus, rows/s).
 bench-predict:
 	$(GO) test -bench 'BenchmarkPredict|BenchmarkForestDecode' -benchmem -run '^$$' ./internal/ml/forest
+	$(GO) test -bench 'BenchmarkPredictCorpus' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkModelLoad' -benchmem -run '^$$' .
 
 # Streaming: throughput benchmark, then the full-size bounded-memory proof

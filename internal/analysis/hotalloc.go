@@ -13,7 +13,8 @@ import (
 //	(*Model).annotate               the per-file annotation pass
 //	(*Forest).PredictProba          \
 //	(*Tree).PredictProba            | per-row tree inference
-//	(*Compiled).PredictProbaMatrix  /  (flattened matrix kernel)
+//	(*Compiled).PredictProbaMatrix  |  (flattened matrix kernel and its
+//	(*Compiled).predictRows         /   serial body, reached via an interface)
 //	(*Scanner).Scan            the per-line streaming ingest step
 //	(*Splitter).Write/Next     the per-line incremental tokenizer
 //	DetectBest                 dialect scoring, once per candidate
@@ -58,6 +59,7 @@ var hotRoots = []hotRoot{
 	{"forest", "Forest", "PredictProba"},
 	{"forest", "Forest", "PredictProbaBatch"},
 	{"forest", "Compiled", "PredictProbaMatrix"},
+	{"forest", "Compiled", "predictRows"},
 	{"tree", "Tree", "PredictProba"},
 	{"ingest", "Scanner", "Scan"},
 	{"dialect", "Splitter", "Write"},
